@@ -455,6 +455,40 @@ func BenchmarkKstaledScan(b *testing.B) {
 	}
 }
 
+// BenchmarkWorkloadTick measures the access generator alone: one
+// Workload.Tick per op over a 120 s kstaled scan period, per standard
+// archetype at its default size, after an hour of warm-up. ns/event is
+// the cost of one access popped from and rescheduled on the event queue.
+func BenchmarkWorkloadTick(b *testing.B) {
+	for _, a := range sdfm.Archetypes {
+		b.Run(a.Name, func(b *testing.B) {
+			w, err := sdfm.NewWorkload(sdfm.WorkloadConfig{Archetype: a, Name: a.Name, Seed: benchSeed})
+			if err != nil {
+				b.Fatal(err)
+			}
+			events := 0
+			count := func(mem.PageID, bool) { events++ }
+			const step = kstaled.DefaultScanPeriod
+			now := time.Duration(0)
+			for ; now < time.Hour; now += step {
+				w.Tick(now, count)
+			}
+			events = 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.Tick(now, count)
+				now += step
+			}
+			b.StopTimer()
+			if events == 0 {
+				b.Fatal("no accesses")
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+		})
+	}
+}
+
 func BenchmarkGPBanditIteration(b *testing.B) {
 	obj := func(p sdfm.Params) (sdfm.FleetResult, error) {
 		cov := (100 - p.K) / 100 * 0.3
@@ -824,6 +858,7 @@ func benchmarkIngest(b *testing.B, stripes int, enc controlplane.Encoding, ckptD
 		wg.Wait()
 		c.Drain()
 		b.StopTimer()
+		c.Close() // join a checkpoint write the drain started
 		if got := accepted.Load(); got != total {
 			b.Fatalf("accepted %d entries, want %d (drops would skew the comparison)", got, total)
 		}

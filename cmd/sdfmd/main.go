@@ -138,7 +138,9 @@ func main() {
 	// Ingest drains run on a wall-clock ticker; tuning rounds trigger
 	// from inside Tick when the telemetry window spans -round-every.
 	tickDone := make(chan struct{})
+	tickExited := make(chan struct{})
 	go func() {
+		defer close(tickExited)
 		t := time.NewTicker(*tick)
 		defer t.Stop()
 		for {
@@ -169,15 +171,16 @@ func main() {
 		log.Printf("shutdown: %v", err)
 	}
 	close(tickDone)
-	rep := ctrl.Drain()
+	<-tickExited // a tick in progress finishes (and its round with it)
+	rep := ctrl.Close()
 	st := ctrl.Status()
 	log.Printf("drained %d queued entries in %d ticks (%d corrupt, %d invalid rejected)",
 		rep.Drained, rep.Ticks, rep.RejectedCorrupt, rep.RejectedInvalid)
 	if *ckptDir != "" {
 		// Final snapshot: every entry the daemon ever acked is either in
-		// the fleet snapshot (Drain just flushed the queues) or in a
+		// the fleet snapshot (Close just flushed the queues) or in a
 		// completed round — the checkpoint a successor restores loses
-		// nothing.
+		// nothing. Close joined the periodic writer, so nothing races it.
 		if path, err := ctrl.Checkpoint(); err != nil {
 			log.Printf("final checkpoint failed: %v", err)
 		} else {

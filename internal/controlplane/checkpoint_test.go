@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -174,6 +175,9 @@ func TestKillRestoreEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
+	// c2 keeps cutting periodic checkpoints; join its writer before the
+	// directory is removed.
+	t.Cleanup(func() { c2.Close() })
 	if !rep.Restored {
 		t.Fatal("Restore found no checkpoint")
 	}
@@ -218,7 +222,7 @@ func TestCheckpointingIsObservationOnly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunSim: %v", err)
 	}
-	ckpted.ckptWG.Wait() // join the background writer before TempDir cleanup
+	ckpted.Close() // join the background writer before TempDir cleanup
 	roundsEqual(t, repCkpt.Rounds, repPlain.Rounds, "checkpointed controller")
 	if got, want := ckpted.Incumbent(), plain.Incumbent(); got != want {
 		t.Errorf("incumbent %+v, want %+v", got, want)
@@ -243,7 +247,7 @@ func TestPeriodicCheckpointCadence(t *testing.T) {
 		t.Fatalf("RunSim: %v", err)
 	}
 	_ = rep
-	c.ckptWG.Wait() // periodic writes are asynchronous; join before reading the dir
+	c.Close() // periodic writes are asynchronous; join before reading the dir
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -309,13 +313,13 @@ func TestCheckpointConcurrentIngest(t *testing.T) {
 		default:
 		}
 	}
-	c.Drain()
+	c.Close()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
 	}
 	if _, err := c.Checkpoint(); err != nil {
-		t.Fatalf("final Checkpoint: %v", err)
+		t.Fatalf("final Checkpoint after Close: %v", err)
 	}
 	s, frep, err := ckpt.Restore(dir)
 	if err != nil || !frep.Restored {
@@ -456,5 +460,96 @@ func TestCheckpointRefusedMidRound(t *testing.T) {
 	}
 	if _, err := plain.Checkpoint(); err != ErrNoCheckpointDir {
 		t.Fatalf("Checkpoint without dir: %v, want ErrNoCheckpointDir", err)
+	}
+}
+
+// TestCloseJoinsWriterAndSeals pins Close's contract: it drains what is
+// queued, joins the background checkpoint writer, and afterwards refuses
+// registrations and reports while Tick does nothing, not even run a round
+// that is due — so state and directory hold still once Close returns,
+// except for an explicit Checkpoint.
+func TestCloseJoinsWriterAndSeals(t *testing.T) {
+	tr := testTrace(t, 1, 2, 2, 6*time.Hour, 4)
+	rc := groupTrace(tr)
+	dir := t.TempDir()
+	c, err := New(ckptTestConfig(dir))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	agents := registerAgents(t, c, rc)
+	last := len(rc.tsList) - 1
+	replayIntervals(t, c, agents, rc, 0, last)
+	// A round owned by another caller is in flight while Close runs, so
+	// the drain itself neither rounds nor checkpoints.
+	c.mu.Lock()
+	c.roundInFlight = true
+	c.mu.Unlock()
+	sendInterval(t, agents, rc, rc.tsList[last]) // left queued for Close
+	queued := 0
+	for _, as := range c.Status().Agents {
+		queued += as.QueueDepth
+	}
+	if queued == 0 {
+		t.Fatal("nothing queued; Close would have nothing to drain")
+	}
+
+	if rep := c.Close(); rep.Drained != queued {
+		t.Errorf("Close drained %d entries, want %d", rep.Drained, queued)
+	}
+	// That round ends, and any window is now due for another one.
+	c.mu.Lock()
+	c.roundInFlight = false
+	c.roundSec = 0
+	c.mu.Unlock()
+	rounds := len(c.Rounds())
+	before := c.Status()
+	listing := func() []string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	files := listing()
+	if len(files) == 0 {
+		t.Fatal("6h of telemetry at a 1h cadence wrote no checkpoint")
+	}
+
+	if _, err := c.Register(RegisterRequest{AgentID: "late"}); !errors.Is(err, ErrDraining) {
+		t.Errorf("Register after Close: err = %v, want ErrDraining", err)
+	}
+	if _, err := c.Report(ReportRequest{AgentID: rc.agentIDs[0], Entries: tr.Entries[:1]}); !errors.Is(err, ErrDraining) {
+		t.Errorf("Report after Close: err = %v, want ErrDraining", err)
+	}
+	if rep := c.Tick(); rep != (TickReport{}) {
+		t.Errorf("Tick after Close: %+v, want an empty report", rep)
+	}
+	if got := len(c.Rounds()); got != rounds {
+		t.Errorf("Tick after Close ran a round: %d rounds, was %d", got, rounds)
+	}
+	if rep := c.Close(); rep.Drained != 0 {
+		t.Errorf("second Close drained %d entries", rep.Drained)
+	}
+	if after := c.Status(); !reflect.DeepEqual(after, before) {
+		t.Errorf("status changed after Close:\n got %+v\nwant %+v", after, before)
+	}
+	if got := listing(); !reflect.DeepEqual(got, files) {
+		t.Errorf("checkpoint directory changed after Close: %v, was %v", got, files)
+	}
+
+	// A final explicit snapshot is still allowed and lands whole.
+	if _, err := c.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint after Close: %v", err)
+	}
+	s, frep, err := ckpt.Restore(dir)
+	if err != nil || !frep.Restored {
+		t.Fatalf("Restore: %v (restored=%v)", err, frep.Restored)
+	}
+	if got := int(s.Counters.Ingested); got != len(tr.Entries) {
+		t.Errorf("final checkpoint ingested %d entries, want %d", got, len(tr.Entries))
 	}
 }

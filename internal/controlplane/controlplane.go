@@ -306,6 +306,9 @@ type Controller struct {
 	// section, so Drain's stripe barrier (see Drain) guarantees no report
 	// is acknowledged after the final flush.
 	draining atomic.Bool
+	// closed is set by Close once the checkpoint writer is joined; Tick
+	// and checkpoint scheduling check it.
+	closed atomic.Bool
 
 	// mu is the control mutex — see the package comment. Everything below
 	// it is guarded by it.
@@ -573,8 +576,11 @@ type TickReport struct {
 // wall-clock ticker; deterministic harnesses call it at interval
 // boundaries.
 func (c *Controller) Tick() TickReport {
-	c.mu.Lock()
 	var rep TickReport
+	if c.closed.Load() {
+		return rep
+	}
+	c.mu.Lock()
 	scratch := c.drainScratch
 	for _, id := range c.ids {
 		s := c.stripeFor(id)
@@ -962,6 +968,21 @@ func (c *Controller) Drain() DrainReport {
 			return rep
 		}
 	}
+}
+
+// Close shuts the controller down for good: it drains like Drain, then
+// joins the background checkpoint writer, so once it returns the
+// controller runs no goroutine and writes nothing on its own. Later
+// Register and Report calls return ErrDraining and Tick does nothing.
+// Checkpoint still works, to cut a final snapshot that no periodic write
+// can race. Close may be called more than once.
+func (c *Controller) Close() DrainReport {
+	rep := c.Drain()
+	c.ckptSchedMu.Lock()
+	c.closed.Store(true) // under ckptSchedMu: no writer launches after the join
+	c.ckptWG.Wait()
+	c.ckptSchedMu.Unlock()
+	return rep
 }
 
 // AgentStatus is one agent's statusz row.

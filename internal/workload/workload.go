@@ -223,73 +223,112 @@ func ArchetypeByName(name string) (*Archetype, bool) {
 	return nil, false
 }
 
-// event is a scheduled page access.
-type event struct {
-	at   time.Duration
-	page mem.PageID
+// eventQueue is the per-page renewal process's schedule: a binary
+// min-heap on at, holding exactly one pending access per page.
+//
+// Its arrangement is bit-for-bit the one container/heap would build from
+// the same push/pop sequence. That matters because ties are possible:
+// which of two equal timestamps pops first depends on the arrangement,
+// and the pop order fixes the order of the RNG draws that follow. A
+// d-ary heap, an (at, page) total order or a calendar queue would pop
+// ties differently and change every simulated result.
+//
+// Keys and pages live in separate columns, so the sift loops touch only
+// the 8-byte keys they compare. Sift-down is bottom-up: pop walks the
+// min-child path to a leaf, moving each child up into the hole, then
+// climbs back while the parent is >= the displaced last element. Child
+// choice (right only if strictly smaller) and the >= stop rule are
+// container/heap's, and keys only grow along a min-child path, so the
+// element lands on the very slot container/heap's top-down sift would
+// pick. The slot pop vacates holds a +inf sentinel, which lets the walk
+// read a right child unconditionally: the sentinel never wins a compare.
+//
+// Keys must be non-negative (see New and AddPages): the child select
+// takes the sign of a key difference, which cannot overflow then.
+type eventQueue struct {
+	at   []time.Duration
+	page []mem.PageID
 }
 
-// eventHeap is a binary min-heap on at. It hand-implements the exact
-// sift algorithms of container/heap on the concrete element type: the
-// sequence of comparisons and swaps is identical, so the pop order —
-// including the arrangement-dependent order of equal timestamps — is
-// bit-for-bit the same as the container/heap version it replaces, while
-// avoiding interface dispatch and per-event boxing on the hottest loop
-// in the simulator.
-type eventHeap []event
+// sentinel is the key of the slot just past the heap during a sift.
+const sentinel = time.Duration(math.MaxInt64)
 
-func (h *eventHeap) init() {
-	n := len(*h)
-	for i := n/2 - 1; i >= 0; i-- {
-		h.down(i, n)
+func newEventQueue(capacity int) eventQueue {
+	// One spare slot so init has room for its sentinel.
+	return eventQueue{
+		at:   make([]time.Duration, 0, capacity+1),
+		page: make([]mem.PageID, 0, capacity+1),
 	}
 }
 
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	h.up(len(*h) - 1)
+// add appends an event without restoring heap order; init must follow.
+func (q *eventQueue) add(t time.Duration, p mem.PageID) {
+	q.at = append(q.at, t)
+	q.page = append(q.page, p)
 }
 
-func (h *eventHeap) pop() event {
-	s := *h
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	h.down(0, n)
-	e := s[n]
-	*h = s[:n]
-	return e
+// init heapifies the columns as container/heap.Init would.
+func (q *eventQueue) init() {
+	n := len(q.at)
+	q.at[:n+1][n] = sentinel
+	for i := n/2 - 1; i >= 0; i-- {
+		q.siftDown(i, n, q.at[i], q.page[i])
+	}
 }
 
-func (h *eventHeap) up(j int) {
-	s := *h
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || s[j].at >= s[i].at {
+func (q *eventQueue) push(t time.Duration, p mem.PageID) {
+	q.at = append(q.at, t)
+	q.page = append(q.page, p)
+	at, page := q.at, q.page
+	j := len(at) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if t >= at[i] {
 			break
 		}
-		s[i], s[j] = s[j], s[i]
+		at[j], page[j] = at[i], page[i]
 		j = i
 	}
+	at[j], page[j] = t, p
 }
 
-func (h *eventHeap) down(i0, n int) {
-	s := *h
-	i := i0
+// pop removes and returns the earliest event; the queue must not be
+// empty.
+func (q *eventQueue) pop() (time.Duration, mem.PageID) {
+	n := len(q.at) - 1
+	t, p := q.at[0], q.page[0]
+	x, xp := q.at[n], q.page[n]
+	q.at[n] = sentinel
+	q.siftDown(0, n, x, xp)
+	q.at, q.page = q.at[:n], q.page[:n]
+	return t, p
+}
+
+// siftDown places x into the subheap rooted at hole i of the first n
+// slots; slot n must hold the sentinel.
+func (q *eventQueue) siftDown(i, n int, x time.Duration, xp mem.PageID) {
+	at, page := q.at[:n+1], q.page[:n+1]
+	root := i
 	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+		j := 2*i + 1
+		if j >= n {
 			break
 		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && s[j2].at < s[j1].at {
-			j = j2 // = 2*i + 2  // right child
-		}
-		if s[j].at >= s[i].at {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
+		// j+1 <= n: a real right child or the sentinel. The right child
+		// wins only when strictly smaller, as in container/heap.
+		j += int(uint64(at[j+1]-at[j]) >> 63)
+		at[i], page[i] = at[j], page[j]
 		i = j
 	}
+	for i > root {
+		parent := (i - 1) / 2
+		if at[parent] < x {
+			break
+		}
+		at[i], page[i] = at[parent], page[parent]
+		i = parent
+	}
+	at[i], page[i] = x, xp
 }
 
 // Workload is one job instance's access generator.
@@ -300,7 +339,7 @@ type Workload struct {
 	initial  int
 	periods  []float64 // per-page mean reaccess period, seconds
 	rng      *rand.Rand
-	events   eventHeap
+	events   eventQueue
 	nextScan time.Duration
 	grown    float64 // fractional pages accumulated toward growth
 	lastGrow time.Duration
@@ -312,7 +351,7 @@ type Config struct {
 	Name      string
 	Seed      int64
 	// Start is the simulated time the job begins; initial accesses are
-	// scheduled from here.
+	// scheduled from here. It must not be negative.
 	Start time.Duration
 }
 
@@ -324,6 +363,9 @@ func New(cfg Config) (*Workload, error) {
 	}
 	if err := cfg.Archetype.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.Start < 0 {
+		return nil, fmt.Errorf("workload: negative start %v", cfg.Start)
 	}
 	rng := simtime.Rand(cfg.Seed, "workload/"+cfg.Name)
 	a := cfg.Archetype
@@ -338,35 +380,15 @@ func New(cfg Config) (*Workload, error) {
 		initial:  pages,
 		periods:  make([]float64, pages),
 		rng:      rng,
-		events:   make(eventHeap, 0, pages),
+		events:   newEventQueue(pages),
 		lastGrow: cfg.Start,
 	}
-	total := 0.0
-	for _, b := range a.Bands {
-		total += b.Weight
-	}
 	for i := 0; i < pages; i++ {
-		// Pick a band, then a log-uniform period within it.
-		u := rng.Float64() * total
-		var band Band
-		for _, b := range a.Bands {
-			if u < b.Weight {
-				band = b
-				break
-			}
-			u -= b.Weight
-		}
-		if band.Weight == 0 {
-			band = a.Bands[len(a.Bands)-1]
-		}
-		lo := math.Log(band.MinPeriod.Seconds())
-		hi := math.Log(band.MaxPeriod.Seconds())
-		p := math.Exp(lo + rng.Float64()*(hi-lo))
-		w.periods[i] = a.EffectivePeriod(p)
+		w.periods[i] = w.drawPeriod()
 		// First access at a uniformly random point within one period
 		// (stationary renewal process start).
 		first := cfg.Start + time.Duration(rng.Float64()*w.periods[i]*float64(time.Second))
-		w.events = append(w.events, event{at: first, page: mem.PageID(i)})
+		w.events.add(first, mem.PageID(i))
 	}
 	w.events.init()
 	if a.ScanEvery > 0 {
@@ -402,19 +424,17 @@ func (w *Workload) DiurnalFactor(t time.Duration) float64 {
 // around their mean period, divided by the diurnal factor (busier hours
 // reaccess sooner).
 func (w *Workload) Tick(now time.Duration, access func(id mem.PageID, write bool)) {
-	for len(w.events) > 0 && w.events[0].at <= now {
-		e := w.events.pop()
+	diurnal := w.DiurnalFactor(now)
+	for len(w.events.at) > 0 && w.events.at[0] <= now {
+		at, page := w.events.pop()
 		write := w.rng.Float64() < w.arch.WriteFraction
-		access(e.page, write)
-		mean := w.periods[e.page] / w.DiurnalFactor(now)
+		access(page, write)
+		mean := w.periods[page] / diurnal
 		gap := w.rng.ExpFloat64() * mean
 		if gap < 0.5 {
 			gap = 0.5
 		}
-		w.events.push(event{
-			at:   e.at + time.Duration(gap*float64(time.Second)),
-			page: e.page,
-		})
+		w.events.push(at+time.Duration(gap*float64(time.Second)), page)
 	}
 	if w.arch.ScanEvery > 0 && now >= w.nextScan {
 		for i := 0; i < w.pages; i++ {
@@ -442,20 +462,22 @@ func (w *Workload) GrowthDue(now time.Duration) int {
 
 // AddPages extends the workload by n pages (after the matching memcg
 // Grow): each new page draws a reaccess period from the band mixture and
-// schedules its first access.
+// schedules its first access. now must not be negative.
 func (w *Workload) AddPages(n int, now time.Duration) {
+	if now < 0 {
+		panic(fmt.Sprintf("workload: AddPages at negative time %v", now))
+	}
 	for i := 0; i < n; i++ {
 		period := w.drawPeriod()
 		w.periods = append(w.periods, period)
 		id := mem.PageID(w.pages)
 		w.pages++
-		w.events.push(event{
-			at:   now + time.Duration(w.rng.ExpFloat64()*period*float64(time.Second)),
-			page: id,
-		})
+		w.events.push(now+time.Duration(w.rng.ExpFloat64()*period*float64(time.Second)), id)
 	}
 }
 
+// drawPeriod picks a band by weight, then a log-uniform period within it,
+// blended with the background touch process.
 func (w *Workload) drawPeriod() float64 {
 	a := w.arch
 	total := 0.0
